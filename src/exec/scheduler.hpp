@@ -22,8 +22,8 @@
 //     whoever is idle;
 //   - exceptions are captured per group and the first one is rethrown
 //     to that group's waiter; every task of the group is still
-//     attempted (OpenMP-matching semantics — a parallel loop cannot
-//     break early), and other groups are unaffected.
+//     attempted, so one failure never hides its siblings' work or
+//     counters, and other groups are unaffected.
 //
 // Determinism contract, unchanged from the old pool: the scheduler
 // decides only *where* a task runs, never what it computes. Chunk

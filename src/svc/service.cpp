@@ -55,35 +55,43 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
       backend_(backend != nullptr
                    ? std::move(backend)
                    : exec::make_backend(config.backend, config.threads)),
-      queue_(config.queue_capacity) {
+      queue_(config.queue_capacity),
+      deadline_thread_([this] { deadline_loop(); },
+                       [this] {
+                         const compat::LockGuard lock(deadline_mutex_);
+                         deadline_stop_ = true;
+                         deadline_cv_.notify_all();
+                       }),
+      watchdog_thread_(config.watchdog_ms != 0
+                           ? std::function<void()>([this] { watchdog_loop(); })
+                           : nullptr,
+                       [this] {
+                         const compat::LockGuard lock(watchdog_mutex_);
+                         watchdog_stop_ = true;
+                         watchdog_cv_.notify_all();
+                       }) {
   config_.max_in_flight = std::max(config_.max_in_flight, 1);
   if (!config_.fault_plan.empty()) {
     fault::arm(fault::FaultPlan::parse(config_.fault_plan));
     armed_fault_plan_ = true;
   }
-  deadline_thread_ = std::thread([this] { deadline_loop(); });
-  if (config_.watchdog_ms != 0) {
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  }
 }
 
 ServiceLoop::~ServiceLoop() {
   queue_.close();
-  {
-    const compat::LockGuard lock(deadline_mutex_);
-    deadline_stop_ = true;
-  }
-  deadline_cv_.notify_all();
-  deadline_thread_.join();
-  if (watchdog_thread_.joinable()) {
-    {
-      const compat::LockGuard lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_thread_.join();
-  }
   if (armed_fault_plan_) fault::disarm();
+}
+
+ServiceLoop::HelperThread::HelperThread(std::function<void()> run,
+                                        std::function<void()> stop)
+    : stop_(std::move(stop)) {
+  if (run) thread_ = std::thread(std::move(run));
+}
+
+ServiceLoop::HelperThread::~HelperThread() {
+  if (!thread_.joinable()) return;
+  stop_();
+  thread_.join();
 }
 
 void ServiceLoop::close() {
@@ -213,7 +221,6 @@ std::optional<std::string> ServiceLoop::submit(std::string_view line,
         // The options variant must match the algorithm that runs.
         item->wire.request.options = {};
       }
-      if (degrade->force_prune) item->wire.request.prune = PruneMode::On;
       const compat::LockGuard lock(state_mutex_);
       ++stats_.degraded;
     }

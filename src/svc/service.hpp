@@ -83,8 +83,6 @@ struct DegradePolicy {
   /// Reroute the expensive multi-round algorithms (mrg, eim, mrg-du)
   /// to the cheaper single-pass ccm coreset path while degraded.
   bool use_coreset = true;
-  /// Force spatial pruning on while degraded.
-  bool force_prune = true;
 
   [[nodiscard]] bool enabled() const noexcept {
     return high_watermark <= 1.0;
@@ -298,11 +296,6 @@ class ServiceLoop {
   std::multimap<std::chrono::steady_clock::time_point, DeadlineEntry>
       deadlines_ KC_GUARDED_BY(deadline_mutex_);
   bool deadline_stop_ KC_GUARDED_BY(deadline_mutex_) = false;
-  // Started/joined only by the owning thread in run(); never touched
-  // by the workers it watches. Expiring: PR14 should fold the two
-  // helper threads into a lifecycle struct with its own discipline.
-  // kc-lint: allow(guarded-by, until=PR14) owner-thread-only lifecycle handle
-  std::thread deadline_thread_;
 
   /// Watchdog state: one entry per executing attempt, keyed by the
   /// request serial. Progress = the budget odometer moving.
@@ -318,11 +311,25 @@ class ServiceLoop {
   std::map<std::uint64_t, WatchdogEntry> watchdog_
       KC_GUARDED_BY(watchdog_mutex_);
   bool watchdog_stop_ KC_GUARDED_BY(watchdog_mutex_) = false;
-  // Started/joined only by the owning thread in run(); never touched
-  // by the workers it watches. Expiring: PR14 should fold the two
-  // helper threads into a lifecycle struct with its own discipline.
-  // kc-lint: allow(guarded-by, until=PR14) owner-thread-only lifecycle handle
-  std::thread watchdog_thread_;
+
+  /// A helper thread that lives as long as the service: the
+  /// constructor starts `run` (no thread when `run` is empty), the
+  /// destructor calls `stop` and joins. Nothing else touches it.
+  class HelperThread {
+   public:
+    HelperThread(std::function<void()> run, std::function<void()> stop);
+    ~HelperThread();
+    HelperThread(const HelperThread&) = delete;
+    HelperThread& operator=(const HelperThread&) = delete;
+
+   private:
+    std::function<void()> stop_;
+    std::thread thread_;
+  };
+  // Declared last: the helpers start once every member they read
+  // exists and are joined before any of those members is destroyed.
+  const HelperThread deadline_thread_;
+  const HelperThread watchdog_thread_;  ///< runs only when watchdog_ms != 0
 };
 
 }  // namespace kc::svc

@@ -200,19 +200,6 @@ TEST(ApiSolver, DuplicateOnlyInputsSolveWithoutCrashOrNonsense) {
   }
 }
 
-TEST(ApiSolver, UnsupportedBackendKind) {
-  if (exec::backend_available(exec::BackendKind::OpenMP)) {
-    GTEST_SKIP() << "all backends available in this build";
-  }
-  const PointSet data = test::small_gaussian_instance(3, 10, 43);
-  api::SolveRequest request;
-  request.points = &data;
-  request.k = 3;
-  request.algorithm = "gon";
-  request.exec.kind = exec::BackendKind::OpenMP;
-  EXPECT_EQ(error_kind_of(request), ErrorKind::UnsupportedBackend);
-}
-
 TEST(ApiSolver, BudgetExceededOnSequentialRun) {
   const PointSet data = test::small_gaussian_instance(5, 100, 44);
   api::SolveRequest request;
@@ -416,9 +403,6 @@ std::vector<std::shared_ptr<exec::ExecutionBackend>> all_backends() {
   std::vector<std::shared_ptr<exec::ExecutionBackend>> backends;
   backends.push_back(exec::make_backend(exec::BackendKind::Sequential));
   backends.push_back(exec::make_backend(exec::BackendKind::ThreadPool, 4));
-  if (exec::backend_available(exec::BackendKind::OpenMP)) {
-    backends.push_back(exec::make_backend(exec::BackendKind::OpenMP, 4));
-  }
   return backends;
 }
 

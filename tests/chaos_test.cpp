@@ -311,9 +311,11 @@ TEST(ChaosDegrade, LadderReroutesFlagsAndHonorsPerTenantOverride) {
       {
           request_line(1, "t", "mrg", 2, 60, 5),
           request_line(2, "vip", "mrg", 2, 60, 5),
+          request_line(3, "t", "gon", 16, 1500, 6),
+          request_line(4, "vip", "gon", 16, 1500, 6),
       },
       config);
-  ASSERT_EQ(result.reports.size(), 2u);
+  ASSERT_EQ(result.reports.size(), 4u);
   const Json degraded = Json::parse(result.reports[0]);
   EXPECT_EQ(degraded.find("status")->string, "ok") << result.reports[0];
   EXPECT_EQ(degraded.find("algorithm")->string, "ccm");  // rerouted
@@ -322,7 +324,16 @@ TEST(ChaosDegrade, LadderReroutesFlagsAndHonorsPerTenantOverride) {
   const Json untouched = Json::parse(result.reports[1]);
   EXPECT_EQ(untouched.find("algorithm")->string, "mrg");
   EXPECT_EQ(untouched.find("degraded"), nullptr);
-  EXPECT_EQ(result.stats.degraded, 1u);
+  // A degraded request keeps its own prune mode, so a gon solve (not
+  // rerouted) does exactly the work of the same request undegraded.
+  const Json degraded_gon = Json::parse(result.reports[2]);
+  const Json plain_gon = Json::parse(result.reports[3]);
+  ASSERT_NE(degraded_gon.find("degraded"), nullptr) << result.reports[2];
+  EXPECT_EQ(plain_gon.find("degraded"), nullptr);
+  EXPECT_EQ(degraded_gon.find("algorithm")->string, "gon");
+  EXPECT_EQ(degraded_gon.find("dist_evals")->number,
+            plain_gon.find("dist_evals")->number);
+  EXPECT_EQ(result.stats.degraded, 2u);
 }
 
 TEST(ChaosWatchdog, StalledRequestIsCancelledWithDiagnostics) {

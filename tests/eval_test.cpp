@@ -12,7 +12,7 @@ TEST(CoveringRadius, MatchesHandComputation) {
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
   const std::vector<index_t> centers{0, 3};
-  const auto result = covering_radius(oracle, all, centers, false);
+  const auto result = covering_radius(oracle, all, centers);
   // Point 4.0 is 4 from center 0 and 6 from center 10: radius 4.
   EXPECT_DOUBLE_EQ(result.radius, 4.0);
   EXPECT_EQ(result.witness, 2u);
@@ -23,28 +23,39 @@ TEST(CoveringRadius, ZeroWhenCentersCoverAll) {
   const PointSet ps{{0.0, 0.0}, {5.0, 5.0}};
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
-  const auto result = covering_radius(oracle, all, all, false);
+  const auto result = covering_radius(oracle, all, all);
   EXPECT_DOUBLE_EQ(result.radius, 0.0);
 }
 
+/// A pool-bound oracle shards the scan (the low shard threshold forces
+/// it on a small instance); the result must equal the unbound pass bit
+/// for bit, evaluation counts included.
 TEST(CoveringRadius, ParallelMatchesSequential) {
-  const PointSet ps = test::small_gaussian_instance(6, 500, 1);
-  const DistanceOracle oracle(ps);
+  const PointSet ps = test::small_gaussian_instance(6, 3000, 1);
   const auto all = ps.all_indices();
-  const std::vector<index_t> centers{0, 100, 700, 1500};
-  const auto par = covering_radius(oracle, all, centers, true);
-  const auto seq = covering_radius(oracle, all, centers, false);
-  EXPECT_DOUBLE_EQ(par.radius, seq.radius);
+  const std::vector<index_t> centers{0, 100, 700, 1500, 9000, 17000};
+  const DistanceOracle unbound(ps);
+  DistanceOracle bound(ps);
+  exec::ThreadPoolBackend pool(4);
+  bound.bind_executor(&pool, 256);
+
+  const WorkScope seq_work;
+  const auto seq = covering_radius(unbound, all, centers);
+  const auto seq_evals = seq_work.elapsed().distance_evals;
+  const WorkScope par_work;
+  const auto par = covering_radius(bound, all, centers);
+  EXPECT_EQ(par_work.elapsed().distance_evals, seq_evals);
+  EXPECT_EQ(par.radius_comparable, seq.radius_comparable);
+  EXPECT_EQ(par.radius, seq.radius);
+  EXPECT_EQ(par.witness, seq.witness);
 }
 
 TEST(CoveringRadius, ValidatesInput) {
   const PointSet ps{{0.0, 0.0}};
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
-  EXPECT_THROW((void)covering_radius(oracle, all, {}, false),
-               std::invalid_argument);
-  EXPECT_THROW((void)covering_radius(oracle, {}, all, false),
-               std::invalid_argument);
+  EXPECT_THROW((void)covering_radius(oracle, all, {}), std::invalid_argument);
+  EXPECT_THROW((void)covering_radius(oracle, {}, all), std::invalid_argument);
 }
 
 TEST(AssignClusters, NearestCenterWins) {
@@ -52,11 +63,25 @@ TEST(AssignClusters, NearestCenterWins) {
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
   const std::vector<index_t> centers{0, 1};
-  const auto assignment = assign_clusters(oracle, all, centers, false);
+  const auto assignment = assign_clusters(oracle, all, centers);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 1u);
   EXPECT_EQ(assignment[2], 0u);
   EXPECT_EQ(assignment[3], 1u);
+}
+
+/// Several 4096-point chunks spread across a bound pool must label
+/// every point exactly as the unbound single stream does.
+TEST(AssignClusters, ParallelMatchesSequential) {
+  const PointSet ps = test::small_gaussian_instance(6, 3000, 4);
+  const auto all = ps.all_indices();
+  const std::vector<index_t> centers{3, 200, 4100, 8191, 12000, 17999};
+  const DistanceOracle unbound(ps);
+  DistanceOracle bound(ps);
+  exec::ThreadPoolBackend pool(4);
+  bound.bind_executor(&pool);
+  EXPECT_EQ(assign_clusters(bound, all, centers),
+            assign_clusters(unbound, all, centers));
 }
 
 TEST(ClusterStats, SizesAndRadii) {
@@ -83,7 +108,7 @@ TEST(ClusterStats, MaxRadiusEqualsCoveringRadius) {
   const auto all = ps.all_indices();
   const auto gon = gonzalez(oracle, all, 5);
   const auto stats = cluster_stats(oracle, all, gon.centers);
-  const auto cover = covering_radius(oracle, all, gon.centers, false);
+  const auto cover = covering_radius(oracle, all, gon.centers);
   EXPECT_NEAR(stats.max_radius, cover.radius, 1e-9);
 }
 
