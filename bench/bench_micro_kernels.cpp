@@ -3,8 +3,8 @@
 // Two halves:
 //
 //   1. A self-timed kernel matrix (no external deps): scalar vs AVX2 vs
-//      AVX-512 vs NEON across {contiguous, gather} x {single-center,
-//      center-blocked} x shapes, plus the tiled pairwise engine vs the
+//      AVX-512 vs NEON across {contiguous, gather} x {one center, a
+//      full center block} x shapes, plus the tiled pairwise engine vs the
 //      per-pair path it replaced, reported as ns/pair and written to a
 //      machine-readable BENCH_kernels.json so the perf trajectory is
 //      tracked across PRs. This is what CI runs.
@@ -92,9 +92,10 @@ struct MatrixConfig {
   int inner = 8;  ///< kernel calls per timed region (amortizes clock reads)
 };
 
-/// One update_nearest shape for one table; rotates the center each call
-/// so best[] keeps seeing occasional improvements (the steady state of
-/// a GON sweep) rather than a fully-converged array.
+/// One single-center scan shape for one table (the blocked kernel at
+/// one center, as every GON sweep runs it); rotates the center each
+/// call so best[] keeps seeing occasional improvements (the steady
+/// state of a GON sweep) rather than a fully-converged array.
 Cell run_nearest_cell(const KernelTable& table, kc::MetricKind metric,
                       std::size_t dim, bool contig, const MatrixConfig& cfg) {
   const kc::PointSet ps = make_points(cfg.n, dim, /*seed=*/dim * 7 + 1);
@@ -117,10 +118,11 @@ Cell run_nearest_cell(const KernelTable& table, kc::MetricKind metric,
       const double* c = ps.data(static_cast<kc::index_t>(center));
       center = (center + 1) % rot;
       if (contig) {
-        table.nearest_contig[m](ps.raw().data(), dim, cfg.n, c, best.data());
+        table.nearest_multi_contig[m](ps.raw().data(), dim, cfg.n, &c, 1,
+                                      best.data());
       } else {
-        table.nearest_gather[m](ps.raw().data(), dim, ids.data(), cfg.n, c,
-                                best.data());
+        table.nearest_multi_gather[m](ps.raw().data(), dim, ids.data(), cfg.n,
+                                      &c, 1, best.data());
       }
     }
   };
@@ -131,8 +133,9 @@ Cell run_nearest_cell(const KernelTable& table, kc::MetricKind metric,
 }
 
 /// Center-blocked multi shape: `centers` centers folded per pass (the
-/// EIM select-round batch shape). With ncenters=1 this degenerates to
-/// update_nearest, so comparing cells quantifies the blocking win.
+/// EIM select-round batch shape). With ncenters=1 this is the
+/// update_nearest cell's kernel on different data, so comparing cells
+/// quantifies the blocking win.
 Cell run_multi_cell(const KernelTable& table, kc::MetricKind metric,
                     std::size_t dim, std::size_t ncenters, bool contig,
                     const MatrixConfig& cfg) {
@@ -555,7 +558,7 @@ void BM_UpdateNearest(benchmark::State& state) {
   std::vector<double> best(n, kc::kInfDist);
   kc::index_t center = 0;
   for (auto _ : state) {
-    oracle.update_nearest(ids, center, best);
+    oracle.update_nearest_multi(ids, {&center, 1}, best);
     center = (center + 1) % static_cast<kc::index_t>(n);
     benchmark::DoNotOptimize(best.data());
   }

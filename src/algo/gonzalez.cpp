@@ -28,8 +28,9 @@ GonzalezResult gonzalez(const DistanceOracle& oracle,
   }
 
   // best[i] = comparable distance from pts[i] to the nearest chosen
-  // center so far. Each new center costs one update_nearest sweep, for
-  // the O(k*N) total the paper cites in §5.1. The sweep and the argmax
+  // center so far. Each new center costs one nearest-center sweep (a
+  // one-element center span through update_nearest_multi), for the
+  // O(k*N) total the paper cites in §5.1. The sweep and the argmax
   // both run on the SIMD kernel engine; top-level callers pass
   // all_indices(), so the sweep takes the contiguous fast path and
   // streams PointSet rows without the ids gather.
@@ -84,10 +85,11 @@ GonzalezResult gonzalez(const DistanceOracle& oracle,
   result.greedy_radii_comparable.push_back(0.0);
 
   for (std::size_t step = 1; step <= centers_wanted; ++step) {
+    const std::span<const index_t> one{&current, 1};
     if (ordered) {
-      oracle.update_nearest_ordered(current, best, cptr);
+      oracle.update_nearest_multi_ordered(one, best, cptr);
     } else {
-      oracle.update_nearest(pts, current, best, cptr);
+      oracle.update_nearest_multi(pts, one, best, cptr);
     }
     if (step == centers_wanted) break;
     const std::size_t far_pos = argmax(best);

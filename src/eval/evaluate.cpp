@@ -42,9 +42,9 @@ std::vector<std::uint32_t> assign_clusters(const DistanceOracle& oracle,
   // Streams point-rows x center-columns tiles out of the tiled pairwise
   // engine and folds a per-row first-wins strict-< argmin. Center tiles
   // arrive in ascending order, so the fold makes the same decisions as
-  // the old per-point nearest_center loop — on bit-identical distances
-  // (the tile kernel's contract) — without a scalar pair call per
-  // (point, center).
+  // a per-point scan over the centers in order — on bit-identical
+  // distances (the tile kernel's contract) — without a scalar pair call
+  // per (point, center).
   std::vector<double> best(pts.size(), kInfDist);
   const auto fold_from = [&assignment, &best](std::size_t base) {
     return [&assignment, &best, base](std::size_t i0, std::size_t j0,

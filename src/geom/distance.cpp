@@ -5,8 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
-#include "geom/parallel.hpp"
 #include "geom/spatial_index.hpp"
 
 namespace kc {
@@ -58,6 +58,11 @@ namespace {
   // store to `stop` already happened-before this read.
   return static_cast<exec::StopReason>(stop.load(std::memory_order_relaxed));
 }
+
+/// The one label every nearest-center scan raises its stop conditions
+/// with, whatever its center count or domain, so a budget or cancel
+/// message does not depend on which scan shape tripped it.
+constexpr std::string_view kScanLabel = "update_nearest";
 
 /// True when the oracle should run this scan through the gated driver.
 [[nodiscard]] bool gating(const exec::ChunkContext* ctx) noexcept {
@@ -119,19 +124,6 @@ bool DistanceOracle::ordered_scans_available() const noexcept {
          points_->size() > 0;
 }
 
-void DistanceOracle::update_nearest_ordered(index_t center,
-                                            std::span<double> best_ordered,
-                                            PruneCache* cache) const {
-  if (!ordered_scans_available() || best_ordered.size() != points_->size()) {
-    throw std::logic_error(
-        "update_nearest_ordered: no matching spatial index bound (check "
-        "ordered_scans_available())");
-  }
-  const index_t one[1] = {center};
-  pruned_scan({one, 1}, best_ordered, cache, /*ordered=*/true,
-              "update_nearest_ordered");
-}
-
 void DistanceOracle::update_nearest_multi_ordered(
     std::span<const index_t> centers, std::span<double> best_ordered,
     PruneCache* cache) const {
@@ -141,8 +133,7 @@ void DistanceOracle::update_nearest_multi_ordered(
         "(check ordered_scans_available())");
   }
   if (centers.empty()) return;
-  pruned_scan(centers, best_ordered, cache, /*ordered=*/true,
-              "update_nearest_multi_ordered");
+  pruned_scan(centers, best_ordered, cache, /*ordered=*/true);
 }
 
 bool DistanceOracle::prune_applicable(
@@ -168,7 +159,7 @@ double DistanceOracle::from_reported(double dist) const noexcept {
 
 void DistanceOracle::pruned_scan(std::span<const index_t> centers,
                                  std::span<double> best, PruneCache* cache,
-                                 bool ordered, std::string_view where) const {
+                                 bool ordered) const {
   const SpatialIndex& idx = *index_;
   const std::size_t n = points_->size();
   const std::size_t d = dim();
@@ -423,55 +414,8 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   const auto reason = static_cast<exec::StopReason>(
       stop.load(std::memory_order_relaxed));  // joined above
   if (reason != exec::StopReason::None) {
-    exec::ChunkContext::raise(reason, where);
+    exec::ChunkContext::raise(reason, kScanLabel);
   }
-}
-
-void DistanceOracle::update_nearest(std::span<const index_t> ids,
-                                    index_t center, std::span<double> best,
-                                    PruneCache* cache) const {
-  if (prune_applicable(ids)) {
-    const index_t one[1] = {center};
-    pruned_scan({one, 1}, best, cache, /*ordered=*/false, "update_nearest");
-    return;
-  }
-  if (cache != nullptr) cache->invalidate();
-  // The whole scan is charged to the calling thread up front, so a
-  // sharded execution attributes work exactly as a sequential one.
-  counters::add_distance_evals(ids.size(), dim());
-  if (ids.empty()) return;
-
-  // Iota id spans — what all_indices() produces and most call sites
-  // pass — skip the gather indirection and stream PointSet rows.
-  const bool contig = simd::is_contiguous_run(ids.data(), ids.size());
-  const std::size_t m = metric_index();
-  const std::size_t d = dim();
-  const double* c = points_->data(center);
-  const auto run = [&](std::size_t lo, std::size_t hi) {
-    if (contig) {
-      kernels_->nearest_contig[m](points_->data(ids[lo]), d, hi - lo, c,
-                                  best.data() + lo);
-    } else {
-      kernels_->nearest_gather[m](points_->raw().data(), d, ids.data() + lo,
-                                  hi - lo, c, best.data() + lo);
-    }
-  };
-  const bool fan_out = exec_ != nullptr && ids.size() >= shard_min_;
-  if (gating(ctx_)) {
-    const exec::StopReason reason =
-        gated_scan(*ctx_, exec_, fan_out, ids.size(),
-                   std::max<std::size_t>(1, shard_min_ / 2),
-                   /*evals_per_item=*/1, run);
-    if (reason != exec::StopReason::None) {
-      exec::ChunkContext::raise(reason, "update_nearest");
-    }
-    return;
-  }
-  if (fan_out) {
-    sharded_for(exec_, ids.size(), shard_min_, run);
-    return;
-  }
-  run(0, ids.size());
 }
 
 void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
@@ -480,8 +424,7 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
                                           PruneCache* cache) const {
   if (ids.empty() || centers.empty()) return;
   if (prune_applicable(ids)) {
-    pruned_scan(centers, best, cache, /*ordered=*/false,
-                "update_nearest_multi");
+    pruned_scan(centers, best, cache, /*ordered=*/false);
     return;
   }
   if (cache != nullptr) cache->invalidate();
@@ -494,7 +437,7 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
   // Per chunk, centers are tiled in blocks of kCenterBlock: each
   // streaming pass over the chunk folds a whole block per load of
   // best/ids. Fold order stays center-major (block by block, in-block
-  // in order), which is bit-identical to repeated update_nearest.
+  // in order), which is bit-identical to one pass per center.
   const auto run = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t cb = 0; cb < centers.size(); cb += simd::kCenterBlock) {
       const std::size_t nc = std::min(simd::kCenterBlock, centers.size() - cb);
@@ -528,7 +471,7 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
         gated_scan(*ctx_, exec_, fan_out, ids.size(), grain,
                    /*evals_per_item=*/centers.size(), run);
     if (reason != exec::StopReason::None) {
-      exec::ChunkContext::raise(reason, "update_nearest_multi");
+      exec::ChunkContext::raise(reason, kScanLabel);
     }
     return;
   }
@@ -537,30 +480,6 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
     return;
   }
   run(0, ids.size());
-}
-
-double DistanceOracle::nearest_comparable(
-    index_t p, std::span<const index_t> centers) const noexcept {
-  double best = kInfDist;
-  for (const index_t c : centers) {
-    const double d = comparable(p, c);
-    if (d < best) best = d;
-  }
-  return best;
-}
-
-std::size_t DistanceOracle::nearest_center(
-    index_t p, std::span<const index_t> centers) const noexcept {
-  double best = kInfDist;
-  std::size_t best_pos = centers.size();
-  for (std::size_t i = 0; i < centers.size(); ++i) {
-    const double d = comparable(p, centers[i]);
-    if (d < best) {
-      best = d;
-      best_pos = i;
-    }
-  }
-  return best_pos;
 }
 
 namespace {

@@ -10,9 +10,12 @@
 //
 // The hot loops dispatch on the metric once per kernel call, then run
 // through the SIMD kernel engine (geom/kernels.hpp): runtime-selected
-// scalar/AVX2/AVX-512 tables with small-dimension specializations,
-// contiguous-range fast paths, and center-blocked multi scans; all
-// algorithm code stays non-templated and ISA-agnostic.
+// scalar/AVX2/AVX-512/NEON tables with small-dimension specializations
+// and contiguous-range fast paths. There is one nearest-center scan,
+// update_nearest_multi (plus its cell-order twin for pruned loops): a
+// single new center is a one-element span, run by the same
+// center-blocked kernels as a batch. All algorithm code stays
+// non-templated and ISA-agnostic.
 #pragma once
 
 #include <functional>
@@ -66,10 +69,10 @@ inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 /// own the points. Thread-safe: methods only read the point set and
 /// bump thread-local work counters.
 ///
-/// Optionally binds an execution backend (bind_executor) so the bulk
-/// kernels — update_nearest / update_nearest_multi — shard large scans
-/// across host cores. Sharding never changes results or counter
-/// attribution: chunks are deterministic, the per-element min-fold is
+/// Optionally binds an execution backend (bind_executor) so the
+/// nearest-center scan, update_nearest_multi, shards large scans across
+/// host cores. Sharding never changes results or counter attribution:
+/// chunks are deterministic, the per-element min-fold is
 /// order-independent, and the full eval count is charged to the
 /// calling thread before fan-out.
 ///
@@ -167,66 +170,49 @@ class DistanceOracle {
   /// Converts a true metric value to the comparable scale.
   [[nodiscard]] double from_reported(double dist) const noexcept;
 
-  /// best[i] = min(best[i], comparable(ids[i], center)) for all i.
-  /// This is the workhorse of Gonzalez's algorithm and of the EIM
-  /// incremental d(x, S) maintenance. Returns nothing; work counters
-  /// record ids.size() pair evaluations (with a pruned scan, evaluated
-  /// plus pruned pairs sum to that). With a bound armed context, throws
-  /// CancelledError / BudgetExceededError within one gate chunk of a
-  /// stop condition.
-  ///
-  /// `cache` (optional) carries per-cell bounds across a sequence of
-  /// pruned full-range scans that share one best array — see
-  /// PruneCache's lifetime contract. Ignored on the unpruned path.
-  void update_nearest(std::span<const index_t> ids, index_t center,
-                      std::span<double> best,
-                      PruneCache* cache = nullptr) const;
-
   /// best[i] = min over c in centers of comparable(ids[i], c), folded
-  /// into the existing best[i]. Bit-identical to repeated
-  /// update_nearest, but tiles centers in blocks of simd::kCenterBlock
-  /// so each streaming pass over the points folds several centers per
-  /// load of best/ids — ~4x less memory traffic for EIM's select-round
-  /// batches. Context-gated like update_nearest, and takes the same
-  /// cell-pruned path on full-range scans (within one call the cell
-  /// bounds tighten block by block, so late center blocks prune against
-  /// the early blocks' results even when best starts at kInfDist).
+  /// into the existing best[i] — the one nearest-center scan. Gonzalez
+  /// (and every MRG machine running it) passes one new center per
+  /// greedy step; EIM passes its select-round batches. Centers are
+  /// tiled in blocks of simd::kCenterBlock, so each streaming pass over
+  /// the points folds several centers per load of best/ids; the fold
+  /// order is center by center, so the result is bit-identical to one
+  /// call per center. Work counters record ids.size() *
+  /// centers.size() pair evaluations (with a pruned scan, evaluated
+  /// plus pruned pairs sum to that). With a bound armed context,
+  /// throws CancelledError / BudgetExceededError, labelled
+  /// `update_nearest`, within one gate chunk of a stop condition.
+  ///
+  /// Full-range scans with pruning enabled take the cell-pruned path
+  /// (within one call the cell bounds tighten block by block, so late
+  /// center blocks prune against the early blocks' results even when
+  /// best starts at kInfDist). `cache` (optional) carries per-cell
+  /// bounds across a sequence of such scans that share one best array —
+  /// see PruneCache's lifetime contract. Ignored on the unpruned path.
   void update_nearest_multi(std::span<const index_t> ids,
                             std::span<const index_t> centers,
                             std::span<double> best,
                             PruneCache* cache = nullptr) const;
 
-  /// True when the cell-order scans below may be called: pruning is
+  /// True when the cell-order scan below may be called: pruning is
   /// enabled and the bound index covers this oracle's point set.
   [[nodiscard]] bool ordered_scans_available() const noexcept;
 
-  /// Cell-order ("ordered") variants of the two scans above, for hot
-  /// loops that keep their whole best array for the full point set:
-  /// element j of `best_ordered` belongs to point spatial_index()->
-  /// order()[j], so every grid cell is a contiguous slice and the
-  /// pruned scan folds kernels straight into it — no per-cell
-  /// gather/scatter of best, which otherwise costs as much as the
-  /// kernels themselves. The folded *values* are bit-identical to what
-  /// update_nearest(all_indices(), ...) leaves at the permuted
-  /// positions; counters and context gating behave identically. Callers
-  /// must check ordered_scans_available() first (throws
-  /// std::logic_error otherwise) and fall back to the id-domain scans —
+  /// Cell-order ("ordered") variant of the scan above, for hot loops
+  /// that keep their whole best array for the full point set: element
+  /// j of `best_ordered` belongs to point spatial_index()->order()[j],
+  /// so every grid cell is a contiguous slice and the pruned scan folds
+  /// kernels straight into it — no per-cell gather/scatter of best,
+  /// which otherwise costs as much as the kernels themselves. The
+  /// folded *values* are bit-identical to what
+  /// update_nearest_multi(all_indices(), ...) leaves at the permuted
+  /// positions; counters and context gating behave identically.
+  /// Callers must check ordered_scans_available() first (throws
+  /// std::logic_error otherwise) and fall back to the id-domain scan —
   /// that is what keeps KC_FORCE_NO_PRUNE an exact-path switch.
-  void update_nearest_ordered(index_t center, std::span<double> best_ordered,
-                              PruneCache* cache = nullptr) const;
   void update_nearest_multi_ordered(std::span<const index_t> centers,
                                     std::span<double> best_ordered,
                                     PruneCache* cache = nullptr) const;
-
-  /// Comparable distance from point `p` to the nearest of `centers`
-  /// (kInfDist if centers is empty).
-  [[nodiscard]] double nearest_comparable(
-      index_t p, std::span<const index_t> centers) const noexcept;
-
-  /// Index (into `centers`) of the nearest center to p; returns
-  /// centers.size() if centers is empty.
-  [[nodiscard]] std::size_t nearest_center(
-      index_t p, std::span<const index_t> centers) const noexcept;
 
   /// Receives one dense tile of comparable distances from the tiled
   /// pairwise engine: `tile[r * ldt + c]` is the comparable distance
@@ -286,15 +272,13 @@ class DistanceOracle {
   [[nodiscard]] bool prune_applicable(
       std::span<const index_t> ids) const noexcept;
 
-  /// The cell-pruned scan body shared by update_nearest (one-center
-  /// span), update_nearest_multi and their ordered variants. With
-  /// `ordered`, `best` is in index order and folded in place; otherwise
-  /// it is in id order and staged per cell. Charges evaluated and
-  /// pruned pairs to the calling thread's counters from what actually
-  /// ran.
+  /// The cell-pruned scan body shared by update_nearest_multi and its
+  /// ordered variant. With `ordered`, `best` is in index order and
+  /// folded in place; otherwise it is in id order and staged per cell.
+  /// Charges evaluated and pruned pairs to the calling thread's
+  /// counters from what actually ran.
   void pruned_scan(std::span<const index_t> centers, std::span<double> best,
-                   PruneCache* cache, bool ordered,
-                   std::string_view where) const;
+                   PruneCache* cache, bool ordered) const;
 
   const PointSet* points_;
   MetricKind kind_;

@@ -57,7 +57,7 @@ struct VecAvx512 {
     return static_cast<unsigned>(_mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ));
   }
 
-  // ---- Masked-tail hooks (kernels_simd_impl.hpp): the update_nearest
+  // ---- Masked-tail hooks (kernels_simd_impl.hpp): the nearest-center
   // tails run under a lane mask instead of the scalar reference loop.
   // AVX-512 masked loads fault-suppress inactive lanes, so a tail never
   // reads past the end of the point rows or the best[] slice; inactive

@@ -25,6 +25,28 @@
 #include "geom/kernels.hpp"
 #include "geom/point_set.hpp"
 
+namespace kc::simd {
+namespace {
+
+/// The blocked kernels' one runtime switch: calls
+/// body.template operator()<NC>() with NC == ncenters, for ncenters in
+/// [1, kCenterBlock] (anything else is a no-op), so each kernel body
+/// sees its center count as a compile-time constant.
+template <typename Body>
+inline void with_center_count(std::size_t ncenters, Body&& body) {
+  static_assert(kCenterBlock == 4, "one case per block size");
+  switch (ncenters) {
+    case 1: body.template operator()<1>(); break;
+    case 2: body.template operator()<2>(); break;
+    case 3: body.template operator()<3>(); break;
+    case 4: body.template operator()<4>(); break;
+    default: break;
+  }
+}
+
+}  // namespace
+}  // namespace kc::simd
+
 namespace kc::simd::scalar {
 namespace {
 
@@ -72,60 +94,36 @@ namespace {
   return acc;
 }
 
-template <typename Pair>
-inline void nearest_gather(const double* coords, std::size_t dim,
+// Nearest-center folds. Per point, centers fold in order 0..NC-1 with
+// the strict < of a sequential min, so one call is bit-identical to NC
+// single-center passes. NC is a template parameter so the center loop
+// unrolls; at NC == 1 this is the plain one-center scan.
+
+template <std::size_t NC, auto Pair>
+inline void blocked_gather(const double* coords, std::size_t dim,
                            const index_t* ids, std::size_t n,
-                           const double* center, double* best,
-                           Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d =
-        pair(coords + static_cast<std::size_t>(ids[i]) * dim, center, dim);
-    if (d < best[i]) best[i] = d;
-  }
-}
-
-template <typename Pair>
-inline void nearest_contig(const double* rows, std::size_t dim, std::size_t n,
-                           const double* center, double* best,
-                           Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = pair(rows + i * dim, center, dim);
-    if (d < best[i]) best[i] = d;
-  }
-}
-
-// Blocked multi-center folds. Per point, centers are folded in order
-// 0..ncenters-1, which is exactly the result of `ncenters` sequential
-// single-center passes — the min-fold per (point, center) pair is the
-// same operation in the same order.
-
-template <typename Pair>
-inline void nearest_multi_gather(const double* coords, std::size_t dim,
-                                 const index_t* ids, std::size_t n,
-                                 const double* const* centers,
-                                 std::size_t ncenters, double* best,
-                                 Pair&& pair) noexcept {
+                           const double* const* centers,
+                           double* best) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     const double* p = coords + static_cast<std::size_t>(ids[i]) * dim;
     double b = best[i];
-    for (std::size_t c = 0; c < ncenters; ++c) {
-      const double d = pair(p, centers[c], dim);
+    for (std::size_t c = 0; c < NC; ++c) {
+      const double d = Pair(p, centers[c], dim);
       if (d < b) b = d;
     }
     best[i] = b;
   }
 }
 
-template <typename Pair>
-inline void nearest_multi_contig(const double* rows, std::size_t dim,
-                                 std::size_t n, const double* const* centers,
-                                 std::size_t ncenters, double* best,
-                                 Pair&& pair) noexcept {
+template <std::size_t NC, auto Pair>
+inline void blocked_contig(const double* rows, std::size_t dim, std::size_t n,
+                           const double* const* centers,
+                           double* best) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     const double* p = rows + i * dim;
     double b = best[i];
-    for (std::size_t c = 0; c < ncenters; ++c) {
-      const double d = pair(p, centers[c], dim);
+    for (std::size_t c = 0; c < NC; ++c) {
+      const double d = Pair(p, centers[c], dim);
       if (d < b) b = d;
     }
     best[i] = b;

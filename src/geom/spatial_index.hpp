@@ -1,7 +1,8 @@
 // Uniform-grid spatial index for cell-granular geometric pruning.
 //
-// Every algorithm in the repo bottoms out in update_nearest /
-// update_nearest_multi scans that touch all n x k point-center pairs.
+// Every algorithm in the repo bottoms out in nearest-center scans
+// (DistanceOracle::update_nearest_multi, one center for a Gonzalez
+// step or a block for EIM) that touch all n x k point-center pairs.
 // Most of those pairs provably cannot change the result: once a point
 // has *some* nearby center, a candidate center far away loses every
 // comparison. This index makes that provable wholesale — per grid
@@ -17,8 +18,8 @@
 // fast path. Per cell the exact coordinate-wise bounding box of its
 // members is stored.
 //
-// The pruning rule, Elkan-style via the triangle inequality: during an
-// update_nearest* scan, a cell's *upper bound* is the maximum of the
+// The pruning rule, Elkan-style via the triangle inequality: during a
+// nearest-center scan, a cell's *upper bound* is the maximum of the
 // caller's current best[] over the cell's members. If a candidate
 // center's distance to the cell's bounding box is at least that bound,
 // then for every member p: d(p, c) >= mindist(c, box) >= ub >= best[p],
@@ -28,7 +29,7 @@
 //
 // The determinism contract (see docs/architecture.md, "Spatial
 // pruning"): pruned results are **bit-identical** to the unpruned
-// scalar path. Two facts carry it: (1) update_nearest*'s per-point
+// scalar path. Two facts carry it: (1) the nearest-center per-point
 // fold only depends on that point's row and the centers, never on scan
 // order, so visiting points cell-by-cell instead of index order writes
 // the same bits; (2) cell_mindist_comparable's floating-point value is
@@ -155,8 +156,8 @@ class SpatialIndex {
 };
 
 /// Per-cell cached upper bounds for a *sequence* of pruned scans that
-/// share one best[] array — the Gonzalez shape, where each round calls
-/// update_nearest with one new center on the same best[]. Skipped
+/// share one best[] array — the Gonzalez shape, where each round scans
+/// one new center into the same best[]. Skipped
 /// cells keep their cached bound (their best[] entries were not
 /// touched); scanned cells refresh it from the values just written, so
 /// across the sequence no full re-derivation of the bounds is needed.

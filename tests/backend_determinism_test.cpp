@@ -152,7 +152,7 @@ TEST(BackendDeterminism, ShardedKernelsMatchSequentialBitForBit) {
 
   std::vector<double> expected(all.size(), kInfDist);
   counters::reset();
-  plain.update_nearest(all, 0, expected);
+  plain.update_nearest_multi(all, std::vector<index_t>{0}, expected);
   plain.update_nearest_multi(all, std::vector<index_t>{1, 2, 3}, expected);
   const auto expected_evals = counters::read().distance_evals;
 
@@ -161,7 +161,7 @@ TEST(BackendDeterminism, ShardedKernelsMatchSequentialBitForBit) {
     const DistanceOracle sharded = sharded_oracle(ps, backend.get());
     std::vector<double> best(all.size(), kInfDist);
     counters::reset();
-    sharded.update_nearest(all, 0, best);
+    sharded.update_nearest_multi(all, std::vector<index_t>{0}, best);
     sharded.update_nearest_multi(all, std::vector<index_t>{1, 2, 3}, best);
     // Same values bit for bit, and the whole scan charged to this
     // thread regardless of which threads executed it.

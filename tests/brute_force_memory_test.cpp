@@ -51,7 +51,7 @@ TEST(BruteForceMemory, FiftyThousandPointsKOneStaysLinear) {
   // Sanity on the value: the chosen center's radius can be recomputed
   // with one linear scan.
   std::vector<double> best(all.size(), kInfDist);
-  oracle.update_nearest(all, result.centers[0], best);
+  oracle.update_nearest_multi(all, {&result.centers[0], 1}, best);
   double radius = 0.0;
   for (const double d : best) {
     if (d > radius) radius = d;

@@ -167,7 +167,7 @@ TEST_P(GatedScans, CompletedScansChargeExactlyTheirEvalsAndStayBitIdentical) {
   DistanceOracle plain(data);
   plain.bind_executor(backend.get());
   std::vector<double> want(n, kInfDist);
-  plain.update_nearest(ids, 0, want);
+  plain.update_nearest_multi(ids, std::vector<index_t>{0}, want);
   const auto pair_matrix_want = plain.pairwise_comparable(
       std::span<const index_t>(ids).subspan(0, 600));
 
@@ -179,7 +179,7 @@ TEST_P(GatedScans, CompletedScansChargeExactlyTheirEvalsAndStayBitIdentical) {
   gated.bind_context(&ctx);
 
   std::vector<double> got(n, kInfDist);
-  gated.update_nearest(ids, 0, got);
+  gated.update_nearest_multi(ids, std::vector<index_t>{0}, got);
   EXPECT_EQ(ctx.budget->consumed(), n);
   EXPECT_EQ(got, want);
 

@@ -194,8 +194,8 @@ TEST(Distance, UpdateNearestMatchesPairwise) {
   const DistanceOracle d(ps);
   const auto ids = ps.all_indices();
   std::vector<double> best(50, kInfDist);
-  d.update_nearest(ids, 7, best);
-  d.update_nearest(ids, 23, best);
+  d.update_nearest_multi(ids, std::vector<index_t>{7}, best);
+  d.update_nearest_multi(ids, std::vector<index_t>{23}, best);
   for (index_t i = 0; i < 50; ++i) {
     const double expected = std::min(d.comparable(i, 7), d.comparable(i, 23));
     EXPECT_DOUBLE_EQ(best[i], expected);
@@ -215,7 +215,7 @@ TEST(Distance, UpdateNearestMultiEqualsSequentialUpdates) {
   std::vector<double> a(40, kInfDist);
   std::vector<double> b(40, kInfDist);
   d.update_nearest_multi(ids, centers, a);
-  for (const index_t c : centers) d.update_nearest(ids, c, b);
+  for (const index_t c : centers) d.update_nearest_multi(ids, {&c, 1}, b);
   for (index_t i = 0; i < 40; ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
@@ -224,20 +224,9 @@ TEST(Distance, UpdateNearestOnlyImproves) {
   const DistanceOracle d(ps);
   const auto ids = ps.all_indices();
   std::vector<double> best{0.01, 0.01, 0.01};  // already tiny
-  d.update_nearest(ids, 0, best);
+  d.update_nearest_multi(ids, std::vector<index_t>{0}, best);
   EXPECT_DOUBLE_EQ(best[1], 0.01);  // not overwritten upward
   EXPECT_DOUBLE_EQ(best[0], 0.0);   // improved to zero
-}
-
-TEST(Distance, NearestComparableAndCenter) {
-  const PointSet ps{{0.0, 0.0}, {10.0, 0.0}, {2.0, 0.0}, {9.0, 0.0}};
-  const DistanceOracle d(ps);
-  const std::vector<index_t> centers{1, 2};
-  EXPECT_DOUBLE_EQ(d.nearest_comparable(0, centers), 4.0);
-  EXPECT_EQ(d.nearest_center(0, centers), 1u);  // index into centers
-  EXPECT_EQ(d.nearest_center(3, centers), 0u);
-  EXPECT_EQ(d.nearest_comparable(0, {}), kInfDist);
-  EXPECT_EQ(d.nearest_center(0, {}), 0u);
 }
 
 TEST(Distance, PairwiseComparableIsSymmetricWithZeroDiagonal) {
@@ -286,7 +275,7 @@ TEST(Counters, BulkKernelCountsAllPairs) {
   const auto ids = ps.all_indices();
   std::vector<double> best(3, kInfDist);
   counters::reset();
-  d.update_nearest(ids, 0, best);
+  d.update_nearest_multi(ids, std::vector<index_t>{0}, best);
   EXPECT_EQ(counters::read().distance_evals, 3u);
 }
 

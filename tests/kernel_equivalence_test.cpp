@@ -5,8 +5,9 @@
 // introduce drift, so equality here is checked on the raw bit patterns.
 //
 // Coverage: all three metrics, dims 1-16, ragged lengths around both
-// vector widths (4 and 8 lanes), gather vs contiguous id spans,
-// center-blocked multi folds vs repeated single-center passes, and the
+// vector widths (4 and 8 lanes), gather vs contiguous id spans, the
+// nearest-center kernels at every block size 1..kCenterBlock against
+// an independent per-pair reference (scalar table included), and the
 // vectorized argmax (including ties).
 #include <gtest/gtest.h>
 
@@ -102,11 +103,50 @@ const IdLayout kLayouts[] = {
      }},
 };
 
+/// The scalar table plus every SIMD table this host runs: the
+/// nearest-center tests hold all of them to the per-pair reference.
+std::vector<const KernelTable*> tables_under_test() {
+  std::vector<const KernelTable*> out{simd::kernels_for(IsaLevel::Scalar)};
+  for (const IsaLevel level : simd_levels_available()) {
+    out.push_back(simd::kernels_for(level));
+  }
+  return out;
+}
+
+/// Independent reference for the nearest-center scans: one scalar pair
+/// kernel call per (point, center), folded with a strict-< min, centers
+/// in order. Shares no loop with any table's blocked kernel.
+std::vector<double> per_pair_reference(const KernelTable& scalar,
+                                       std::size_t m,
+                                       const std::vector<double>& coords,
+                                       std::size_t dim,
+                                       const std::vector<index_t>& ids,
+                                       const std::vector<const double*>& cptr,
+                                       std::vector<double> best) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const double* p = coords.data() + static_cast<std::size_t>(ids[i]) * dim;
+    for (const double* c : cptr) {
+      const double d = scalar.pair[m](p, c, dim);
+      if (d < best[i]) best[i] = d;
+    }
+  }
+  return best;
+}
+
+/// Calls a blocked kernel over cptr the way DistanceOracle does: in
+/// blocks of at most simd::kCenterBlock centers, in order.
+template <typename Call>
+void tile_centers(const std::vector<const double*>& cptr, Call&& call) {
+  for (std::size_t cb = 0; cb < cptr.size(); cb += simd::kCenterBlock) {
+    call(cptr.data() + cb, std::min(simd::kCenterBlock, cptr.size() - cb));
+  }
+}
+
 class KernelEquivalence : public ::testing::TestWithParam<MetricKind> {};
 
+// One-center scans (the Gonzalez sweep shape): the blocked kernels at
+// ncenters = 1, both layouts, on every table.
 TEST_P(KernelEquivalence, UpdateNearestBitIdenticalAcrossIsas) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
   const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
 
@@ -115,31 +155,29 @@ TEST_P(KernelEquivalence, UpdateNearestBitIdenticalAcrossIsas) {
     const std::size_t n_points = 1024;
     const auto coords = random_coords(n_points * dim, rng);
     const auto center = random_coords(dim, rng);
+    const std::vector<const double*> cptr{center.data()};
     for (const std::size_t n : kLengths) {
       for (const auto& layout : kLayouts) {
         const auto ids = layout.make(n, n_points, rng);
         const auto init = random_best(n, rng);
-
-        std::vector<double> want = init;
-        scalar->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                  center.data(), want.data());
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
+        const auto want =
+            per_pair_reference(*scalar, m, coords, dim, ids, cptr, init);
+        for (const KernelTable* table : tables_under_test()) {
           SCOPED_TRACE(std::string(table->name) + " dim=" +
                        std::to_string(dim) + " n=" + std::to_string(n) + " " +
                        layout.name);
           std::vector<double> got = init;
-          table->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                   center.data(), got.data());
+          table->nearest_multi_gather[m](coords.data(), dim, ids.data(), n,
+                                         cptr.data(), 1, got.data());
           expect_bit_identical(got, want);
 
           if (layout.contiguous) {
-            // The contiguous entry point must agree with the gather one
-            // on the same span (and hence with scalar).
+            // The contiguous entry point must agree on the same span.
             const double* rows =
                 coords.data() + static_cast<std::size_t>(ids[0]) * dim;
             got = init;
-            table->nearest_contig[m](rows, dim, n, center.data(), got.data());
+            table->nearest_multi_contig[m](rows, dim, n, cptr.data(), 1,
+                                           got.data());
             expect_bit_identical(got, want);
           }
         }
@@ -148,75 +186,80 @@ TEST_P(KernelEquivalence, UpdateNearestBitIdenticalAcrossIsas) {
   }
 }
 
+/// Runs both layouts of the blocked kernels over exactly n rows with
+/// guard slots after best[n), checking the guards and the values.
+void check_exact_buffer_end(const KernelTable& table, std::size_t m,
+                            const std::vector<double>& coords, std::size_t dim,
+                            const std::vector<index_t>& ids,
+                            const std::vector<const double*>& cptr,
+                            const std::vector<double>& init,
+                            const std::vector<double>& want) {
+  constexpr double kGuard = -1234.5;
+  const std::size_t n = ids.size();
+  for (const bool contig : {true, false}) {
+    SCOPED_TRACE(contig ? "contig" : "gather");
+    // Guard slots after best[n): a masked store must not touch them.
+    std::vector<double> got(init);
+    got.resize(n + 8, kGuard);
+    if (contig) {
+      table.nearest_multi_contig[m](coords.data(), dim, n, cptr.data(),
+                                    cptr.size(), got.data());
+    } else {
+      table.nearest_multi_gather[m](coords.data(), dim, ids.data(), n,
+                                    cptr.data(), cptr.size(), got.data());
+    }
+    for (std::size_t i = n; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
+    }
+    got.resize(n);
+    expect_bit_identical(got, want);
+  }
+}
+
 // Masked-tail contract (AVX-512 replaces the scalar tail loop with
-// lane-masked kernels): every ragged remainder 1..W-1 must stay
-// bit-identical to scalar when the scan ends exactly at the end of its
-// allocations, and the masked store must leave best[] beyond n
-// untouched. The buffers here have zero slack after the last element,
-// so a tail that over-reads or over-writes by even one double corrupts
-// the guard values or faults under a sanitizer.
+// lane-masked kernels): every ragged remainder 1..W-1 of a one-center
+// scan must stay bit-identical to the per-pair reference when the scan
+// ends exactly at the end of its allocations, and the masked store
+// must leave best[] beyond n untouched. The buffers here have zero
+// slack after the last element, so a tail that over-reads or
+// over-writes by even one double corrupts the guard values or faults
+// under a sanitizer.
 TEST_P(KernelEquivalence, RaggedTailsExactBufferEndAndNoOverstore) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
   const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
-  constexpr double kGuard = -1234.5;
 
   Rng rng(97);
   for (std::size_t dim = 1; dim <= 9; ++dim) {
     const auto center = random_coords(dim, rng);
+    const std::vector<const double*> cptr{center.data()};
     for (std::size_t n = 1; n <= 17; ++n) {
       // Coordinates sized exactly n rows — no slack for an over-read.
       const auto coords = random_coords(n * dim, rng);
-      std::vector<index_t> ids(n);
-      for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<index_t>(i);
+      const auto ids = kLayouts[0].make(n, n, rng);
       const auto init = random_best(n, rng);
-
-      std::vector<double> want = init;
-      scalar->nearest_contig[m](coords.data(), dim, n, center.data(),
-                                want.data());
-      for (const IsaLevel level : levels) {
-        const KernelTable* table = simd::kernels_for(level);
+      const auto want =
+          per_pair_reference(*scalar, m, coords, dim, ids, cptr, init);
+      for (const KernelTable* table : tables_under_test()) {
         SCOPED_TRACE(std::string(table->name) + " dim=" + std::to_string(dim) +
                      " n=" + std::to_string(n));
-        // Guard slots after best[n): a masked store must not touch them.
-        std::vector<double> got(init);
-        got.resize(n + 8, kGuard);
-        table->nearest_contig[m](coords.data(), dim, n, center.data(),
-                                 got.data());
-        for (std::size_t i = n; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-        }
-        got.resize(n);
-        expect_bit_identical(got, want);
-
-        got = init;
-        got.resize(n + 8, kGuard);
-        table->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                 center.data(), got.data());
-        for (std::size_t i = n; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-        }
-        got.resize(n);
-        expect_bit_identical(got, want);
+        check_exact_buffer_end(*table, m, coords, dim, ids, cptr, init, want);
       }
     }
   }
 }
 
-// Same exact-buffer-end contract for the center-blocked multi kernels,
-// whose ragged tails are also lane-masked on AVX-512: every remainder
-// 1..W-1, every block size 1..kCenterBlock, scan ending flush with the
-// coordinate allocation, guards after best[n) untouched.
+// Blocked dims under test: the generic loop at 1, 5 and 16, and the
+// shape specializations (contig dims 2 and 3, gather dim 2).
+constexpr std::size_t kBlockedDims[] = {1, 2, 3, 5, 16};
+
+// Same exact-buffer-end contract at every block size 1..kCenterBlock,
+// whose ragged tails are also lane-masked on AVX-512.
 TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
   const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
-  constexpr double kGuard = -1234.5;
 
   Rng rng(181);
-  for (std::size_t dim = 1; dim <= 9; ++dim) {
+  for (const std::size_t dim : kBlockedDims) {
     for (std::size_t nc = 1; nc <= simd::kCenterBlock; ++nc) {
       std::vector<std::vector<double>> centers(nc);
       std::vector<const double*> cptr(nc);
@@ -227,37 +270,16 @@ TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
       for (std::size_t n = 1; n <= 17; ++n) {
         // Coordinates sized exactly n rows — no slack for an over-read.
         const auto coords = random_coords(n * dim, rng);
-        std::vector<index_t> ids(n);
-        for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<index_t>(i);
+        const auto ids = kLayouts[0].make(n, n, rng);
         const auto init = random_best(n, rng);
-
-        std::vector<double> want = init;
-        scalar->nearest_multi_contig[m](coords.data(), dim, n, cptr.data(),
-                                        nc, want.data());
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
+        const auto want =
+            per_pair_reference(*scalar, m, coords, dim, ids, cptr, init);
+        for (const KernelTable* table : tables_under_test()) {
           SCOPED_TRACE(std::string(table->name) + " dim=" +
                        std::to_string(dim) + " nc=" + std::to_string(nc) +
                        " n=" + std::to_string(n));
-          std::vector<double> got(init);
-          got.resize(n + 8, kGuard);
-          table->nearest_multi_contig[m](coords.data(), dim, n, cptr.data(),
-                                         nc, got.data());
-          for (std::size_t i = n; i < got.size(); ++i) {
-            EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-          }
-          got.resize(n);
-          expect_bit_identical(got, want);
-
-          got = init;
-          got.resize(n + 8, kGuard);
-          table->nearest_multi_gather[m](coords.data(), dim, ids.data(), n,
-                                         cptr.data(), nc, got.data());
-          for (std::size_t i = n; i < got.size(); ++i) {
-            EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-          }
-          got.resize(n);
-          expect_bit_identical(got, want);
+          check_exact_buffer_end(*table, m, coords, dim, ids, cptr, init,
+                                 want);
         }
       }
     }
@@ -265,16 +287,14 @@ TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
 }
 
 TEST_P(KernelEquivalence, BlockedMultiMatchesRepeatedSingleCenterPasses) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
   const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
 
   Rng rng(77);
-  for (const std::size_t dim : {1u, 2u, 3u, 5u, 11u}) {
+  for (const std::size_t dim : kBlockedDims) {
     const std::size_t n_points = 512;
     const auto coords = random_coords(n_points * dim, rng);
-    // 1..kCenterBlock+1 centers: exercises partial blocks and tiling.
+    // 1..kCenterBlock+1 centers: every block size, plus tiling.
     for (std::size_t nc = 1; nc <= simd::kCenterBlock + 1; ++nc) {
       std::vector<std::vector<double>> centers(nc);
       std::vector<const double*> cptr(nc);
@@ -284,43 +304,30 @@ TEST_P(KernelEquivalence, BlockedMultiMatchesRepeatedSingleCenterPasses) {
       }
       for (const std::size_t n : {1u, 7u, 8u, 9u, 33u, 400u}) {
         const auto ids = kLayouts[2].make(n, n_points, rng);
+        const auto iota = kLayouts[0].make(n, n_points, rng);
         const auto init = random_best(n, rng);
-
-        // Reference: scalar single-center passes, in center order.
-        std::vector<double> want = init;
-        for (std::size_t c = 0; c < nc; ++c) {
-          scalar->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                    centers[c].data(), want.data());
-        }
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
+        // Reference: per-pair folds, one center after another.
+        const auto want =
+            per_pair_reference(*scalar, m, coords, dim, ids, cptr, init);
+        const auto want_c =
+            per_pair_reference(*scalar, m, coords, dim, iota, cptr, init);
+        for (const KernelTable* table : tables_under_test()) {
           SCOPED_TRACE(std::string(table->name) + " dim=" +
                        std::to_string(dim) + " nc=" + std::to_string(nc) +
                        " n=" + std::to_string(n));
-          // Tile like DistanceOracle::update_nearest_multi does.
           std::vector<double> got = init;
-          for (std::size_t cb = 0; cb < nc; cb += simd::kCenterBlock) {
-            const std::size_t block = std::min(simd::kCenterBlock, nc - cb);
+          tile_centers(cptr, [&](const double* const* block, std::size_t k) {
             table->nearest_multi_gather[m](coords.data(), dim, ids.data(), n,
-                                           cptr.data() + cb, block,
-                                           got.data());
-          }
+                                           block, k, got.data());
+          });
           expect_bit_identical(got, want);
 
           // Contiguous blocked variant over an iota span.
-          const auto iota = kLayouts[0].make(n, n_points, rng);
-          std::vector<double> want_c = init;
-          for (std::size_t c = 0; c < nc; ++c) {
-            scalar->nearest_gather[m](coords.data(), dim, iota.data(), n,
-                                      centers[c].data(), want_c.data());
-          }
           got = init;
-          for (std::size_t cb = 0; cb < nc; cb += simd::kCenterBlock) {
-            const std::size_t block = std::min(simd::kCenterBlock, nc - cb);
-            table->nearest_multi_contig[m](coords.data(), dim, n,
-                                           cptr.data() + cb, block,
+          tile_centers(cptr, [&](const double* const* block, std::size_t k) {
+            table->nearest_multi_contig[m](coords.data(), dim, n, block, k,
                                            got.data());
-          }
+          });
           expect_bit_identical(got, want_c);
         }
       }
@@ -518,8 +525,8 @@ TEST(KernelEquivalenceOracle, ForcedScalarOracleMatchesActiveBitForBit) {
 
     std::vector<double> a(ids.size(), kInfDist);
     std::vector<double> b(ids.size(), kInfDist);
-    active.update_nearest(ids, 3, a);
-    forced.update_nearest(ids, 3, b);
+    active.update_nearest_multi(ids, std::vector<index_t>{3}, a);
+    forced.update_nearest_multi(ids, std::vector<index_t>{3}, b);
     active.update_nearest_multi(ids, centers, a);
     forced.update_nearest_multi(ids, centers, b);
     expect_bit_identical(a, b);

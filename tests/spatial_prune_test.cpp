@@ -193,8 +193,8 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         std::vector<double> want_seq(n, kInfDist);
         std::vector<double> got_seq(n, kInfDist);
         for (const index_t c : centers) {
-          plain.update_nearest(ids, c, want_seq);
-          pruned.update_nearest(ids, c, got_seq, &cache);
+          plain.update_nearest_multi(ids, {&c, 1}, want_seq);
+          pruned.update_nearest_multi(ids, {&c, 1}, got_seq, &cache);
         }
         expect_bit_identical(got_seq, want_seq);
       }
@@ -294,8 +294,8 @@ TEST(OrderedScans, ValuesMatchTheUnprunedScanAtPermutedPositions) {
         std::vector<double> want_seq(n, kInfDist);
         std::vector<double> got_seq(n, kInfDist);
         for (const index_t c : centers) {
-          plain.update_nearest(ids, c, want_seq);
-          pruned.update_nearest_ordered(c, got_seq, &cache);
+          plain.update_nearest_multi(ids, {&c, 1}, want_seq);
+          pruned.update_nearest_multi_ordered({&c, 1}, got_seq, &cache);
         }
         for (std::size_t j = 0; j < n; ++j) {
           ASSERT_EQ(std::bit_cast<std::uint64_t>(got_seq[j]),
@@ -312,13 +312,14 @@ TEST(OrderedScans, RequireAMatchingBoundIndex) {
   const PointSet pts = data::generate_gau(2000, 8, 2, 100.0, 0.1, rng);
   std::vector<double> best(pts.size(), kInfDist);
   const index_t centers[2] = {0, 1};
+  const index_t one[1] = {0};
 
   // No index bound: the ordered domain does not even exist, so the
   // scans refuse rather than silently fall back to id order (the caller
   // would misread the result's layout).
   DistanceOracle bare(pts);
   EXPECT_FALSE(bare.ordered_scans_available());
-  EXPECT_THROW(bare.update_nearest_ordered(0, best), std::logic_error);
+  EXPECT_THROW(bare.update_nearest_multi_ordered(one, best), std::logic_error);
   EXPECT_THROW(bare.update_nearest_multi_ordered(centers, best),
                std::logic_error);
 
@@ -327,7 +328,7 @@ TEST(OrderedScans, RequireAMatchingBoundIndex) {
   DistanceOracle off(pts);
   off.bind_index(&index, PruneMode::Off);
   EXPECT_FALSE(off.ordered_scans_available());
-  EXPECT_THROW(off.update_nearest_ordered(0, best), std::logic_error);
+  EXPECT_THROW(off.update_nearest_multi_ordered(one, best), std::logic_error);
 
   // Wrong-size best[]: the ordered domain covers the full point set
   // only.
@@ -356,9 +357,9 @@ TEST(PrunedScansFallback, PartialRangeScansTakeTheExactUnprunedPath) {
   std::iota(subset.begin(), subset.end(), index_t{500});
   std::vector<double> want(subset.size(), kInfDist);
   std::vector<double> got(subset.size(), kInfDist);
-  plain.update_nearest(subset, 3, want);
+  plain.update_nearest_multi(subset, std::vector<index_t>{3}, want);
   const WorkScope scope;
-  pruned.update_nearest(subset, 3, got);
+  pruned.update_nearest_multi(subset, std::vector<index_t>{3}, got);
   expect_bit_identical(got, want);
   EXPECT_EQ(scope.elapsed().pruned_pairs, 0u);
   EXPECT_EQ(scope.elapsed().distance_evals, subset.size());
@@ -375,7 +376,7 @@ TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
   const std::vector<index_t> ids = pts.all_indices();
   std::vector<double> best(ids.size(), kInfDist);
   const WorkScope scope;
-  oracle.update_nearest(ids, 0, best);
+  oracle.update_nearest_multi(ids, std::vector<index_t>{0}, best);
   EXPECT_EQ(scope.elapsed().pruned_pairs, 0u);
   EXPECT_EQ(scope.elapsed().distance_evals, ids.size());
 }

@@ -47,8 +47,8 @@ has reached that PR, the waiver turns into a `waiver-expired` finding:
     code();  // kc-lint: allow(wallclock) operator-facing log line only
     tmp();   // kc-lint: allow(guarded-by, until=PR14) migration shim
 
-The current PR number is one past the CHANGES.md entry count (one
-line per merged PR), overridable with --current-pr.
+The current PR number is one past the highest `- PR <n>:` entry in
+CHANGES.md, overridable with --current-pr.
 
 Usage:
     tools/kc_lint.py --src src --compile-commands build/compile_commands.json
@@ -84,16 +84,28 @@ WAIVER_RE = re.compile(
 UNTIL_RE = re.compile(r"^until=PR(\d+)$")
 
 
+PR_ENTRY_RE = re.compile(r"^-\s*PR\s+(\d+)\s*:")
+
+
+def pr_number_from_ledger(text: str) -> int:
+    """One past the highest `- PR <n>:` entry of a CHANGES.md text.
+    Other ledger lines (`FOUND:`, `Benchmark:`, ...) are not PRs, and a
+    PR without its own line leaves a gap that must not shift the
+    count."""
+    numbers = [int(m.group(1)) for m in
+               (PR_ENTRY_RE.match(ln.strip()) for ln in text.splitlines())
+               if m]
+    return max(numbers, default=0) + 1
+
+
 def current_pr_number(repo_root: Path) -> int | None:
-    """One past the number of CHANGES.md entries — the PR being built
-    right now. None (expiry unenforced) when the ledger is absent."""
+    """The PR being built right now, derived from CHANGES.md. None
+    (expiry unenforced) when the ledger is absent."""
     changes = repo_root / "CHANGES.md"
     try:
-        entries = [ln for ln in changes.read_text().splitlines()
-                   if ln.strip()]
+        return pr_number_from_ledger(changes.read_text())
     except OSError:
         return None
-    return len(entries) + 1
 
 
 def parse_waivers(lines: list[str], path: Path, findings: list[Finding],
@@ -352,10 +364,27 @@ def self_test(fixtures: Path, repo_root: Path) -> int:
         print(f"kc_lint --self-test: no fixtures under {fixtures}",
               file=sys.stderr)
         return 1
+    # The ledger derivation: only `- PR <n>:` lines count, the highest
+    # wins, and FOUND:/Benchmark: lines or numbering gaps change nothing.
+    ledger = "\n".join([
+        "- PR 1: first change",
+        "- PR 2: second change",
+        "- Benchmark: `perfbench/` and `BENCHMARK.json`",
+        "- FOUND: `src/x.cpp` — a fault seen but not mended",
+        "",
+        "- PR 5: three numbers later, with no lines for PRs 3-4",
+        "- MENDED: `src/x.cpp` — the fault above",
+    ])
+    for text, want in ((ledger, 6), ("- FOUND: no PR yet", 1)):
+        got = pr_number_from_ledger(text)
+        if got != want:
+            print(f"FAIL (ledger derivation): got PR {got}, want {want}",
+                  file=sys.stderr)
+            failures += 1
     # Fixtures pin expiry behavior with far-off deadlines (until=PR3 is
     # always expired, until=PR9999 never is), so any current PR in the
     # repo's realistic lifetime asserts both sides. The real ledger
-    # count keeps the self-test honest about the derivation path too.
+    # keeps the self-test honest about the derivation path too.
     current_pr = current_pr_number(repo_root) or 10
     for path in good:
         if path.suffix not in (".cpp", ".hpp"):
@@ -409,7 +438,7 @@ def main(argv: list[str]) -> int:
                         help="run against the fixture corpus and exit")
     parser.add_argument("--current-pr", type=int, default=None,
                         help="PR number for waiver expiry (default: "
-                             "derived from CHANGES.md entry count + 1)")
+                             "highest CHANGES.md `- PR <n>:` entry + 1)")
     args = parser.parse_args(argv)
 
     repo_root = args.src.resolve().parent
